@@ -5,9 +5,13 @@
 //! renders aggregate views a timeline viewer cannot:
 //!
 //!   * per-stage breakdown — self-time (duration minus direct children)
-//!     summed by span category (lift / smt / swizzle / driver / served ...)
-//!   * per-operation breakdown — self-time summed by span name
+//!     summed by span category (lift / smt / swizzle / driver / served ...),
+//!     next to the wall time the category's spans cover (the union of
+//!     their intervals, so nested and concurrent spans count once)
+//!   * per-operation breakdown — the same, by span name
 //!   * per-rule breakdown — time and firing count per lifting rule
+//!   * verification — lifting checks by path (normal form, proof cache,
+//!     solver) and outcome, with their count and busy time
 //!   * top-N slowest SMT queries, with their proof-cache keys and outcomes
 //!
 //! ```sh
@@ -194,6 +198,83 @@ fn ms(us: u64) -> f64 {
     us as f64 / 1000.0
 }
 
+/// One row of a breakdown table.
+#[derive(Default)]
+struct Row {
+    /// Summed self time (duration minus direct children).
+    self_us: u64,
+    /// `[start, end)` of every span in the row.
+    intervals: Vec<(u64, u64)>,
+    count: usize,
+}
+
+impl Row {
+    fn add(&mut self, r: &SpanRecord, self_us: u64) {
+        self.self_us += self_us;
+        self.intervals.push((r.start_us, r.start_us + r.dur_us));
+        self.count += 1;
+    }
+}
+
+/// Length of the union of `[start, end)` intervals: the wall time a row's
+/// spans cover, with nested and concurrent spans counted once.
+fn union_us(mut intervals: Vec<(u64, u64)>) -> u64 {
+    intervals.sort_unstable();
+    let mut total = 0;
+    let mut current: Option<(u64, u64)> = None;
+    for (start, end) in intervals {
+        current = match current {
+            Some((s, e)) if start <= e => Some((s, e.max(end))),
+            Some((s, e)) => {
+                total += e - s;
+                Some((start, end))
+            }
+            None => Some((start, end)),
+        };
+    }
+    total + current.map_or(0, |(s, e)| e - s)
+}
+
+/// How each lifting check (`verify.smt_equiv`) was decided: by path
+/// (normal form, proof cache, solver) and outcome. A normal-form row's
+/// outcome is its `form`; a proof-cache hit takes the outcome of the solve
+/// with the same `proof_key`.
+fn verification_table(out: &mut String, records: &[SpanRecord]) {
+    use std::fmt::Write as _;
+    let checks: Vec<&SpanRecord> =
+        records.iter().filter(|r| r.name == "verify.smt_equiv").collect();
+    if checks.is_empty() {
+        return;
+    }
+    let solved: HashMap<&str, &str> = checks
+        .iter()
+        .filter(|r| str_arg(r, "path") == Some("solve"))
+        .filter_map(|r| Some((str_arg(r, "proof_key")?, str_arg(r, "outcome")?)))
+        .collect();
+    let mut rows: HashMap<(&str, &str), (usize, u64)> = HashMap::new();
+    for r in &checks {
+        let path = str_arg(r, "path").unwrap_or("-");
+        let outcome = match path {
+            "linear" => str_arg(r, "form").unwrap_or("linear"),
+            "proof-cache" => {
+                str_arg(r, "proof_key").and_then(|k| solved.get(k).copied()).unwrap_or("unresolved")
+            }
+            _ => str_arg(r, "outcome").unwrap_or("-"),
+        };
+        let row = rows.entry((path, outcome)).or_insert((0, 0));
+        row.0 += 1;
+        row.1 += r.dur_us;
+    }
+    let mut sorted: Vec<_> = rows.into_iter().collect();
+    sorted.sort_by(|a, b| b.1 .1.cmp(&a.1 .1).then(a.0.cmp(&b.0)));
+    let _ = writeln!(out, "verification (verify.smt_equiv by path and outcome):");
+    let _ = writeln!(out, "  {:<14} {:<12} {:>7} {:>10}", "path", "outcome", "checks", "busy ms");
+    for ((path, outcome), (count, busy)) in sorted {
+        let _ = writeln!(out, "  {path:<14} {outcome:<12} {count:>7} {:>10.2}", ms(busy));
+    }
+    let _ = writeln!(out);
+}
+
 fn report(records: &[SpanRecord], files: usize, top: usize) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -217,37 +298,33 @@ fn report(records: &[SpanRecord], files: usize, top: usize) -> String {
         files
     );
 
-    let table = |out: &mut String, title: &str, rows: HashMap<&str, (u64, u64, usize)>| {
+    let table = |out: &mut String, title: &str, rows: HashMap<&str, Row>| {
         let mut sorted: Vec<_> = rows.into_iter().collect();
-        sorted.sort_by(|a, b| b.1 .0.cmp(&a.1 .0));
+        sorted.sort_by_key(|(_, row)| std::cmp::Reverse(row.self_us));
         let _ = writeln!(out, "{title}:");
-        let _ = writeln!(out, "  {:<24} {:>10} {:>10} {:>7}", "", "self ms", "total ms", "spans");
-        for (key, (self_t, total, count)) in sorted {
-            let _ =
-                writeln!(out, "  {key:<24} {:>10.2} {:>10.2} {count:>7}", ms(self_t), ms(total));
+        let _ = writeln!(out, "  {:<24} {:>10} {:>10} {:>7}", "", "self ms", "wall ms", "spans");
+        for (key, row) in sorted {
+            let _ = writeln!(
+                out,
+                "  {key:<24} {:>10.2} {:>10.2} {:>7}",
+                ms(row.self_us),
+                ms(union_us(row.intervals)),
+                row.count
+            );
         }
         let _ = writeln!(out);
     };
 
-    let mut by_cat: HashMap<&str, (u64, u64, usize)> = HashMap::new();
-    let mut by_name: HashMap<&str, (u64, u64, usize)> = HashMap::new();
-    let mut by_rule: HashMap<&str, (u64, u64, usize)> = HashMap::new();
+    let mut by_cat: HashMap<&str, Row> = HashMap::new();
+    let mut by_name: HashMap<&str, Row> = HashMap::new();
+    let mut by_rule: HashMap<&str, Row> = HashMap::new();
     for r in records {
         let s = self_us(r);
-        let cat = by_cat.entry(r.cat).or_insert((0, 0, 0));
-        cat.0 += s;
-        cat.1 += r.dur_us;
-        cat.2 += 1;
-        let name = by_name.entry(r.name).or_insert((0, 0, 0));
-        name.0 += s;
-        name.1 += r.dur_us;
-        name.2 += 1;
+        by_cat.entry(r.cat).or_default().add(r, s);
+        by_name.entry(r.name).or_default().add(r, s);
         if r.name == "lift.rule" || r.name == "lift.screen" {
             if let Some(rule) = str_arg(r, "rule") {
-                let e = by_rule.entry(trace::intern(rule)).or_insert((0, 0, 0));
-                e.0 += s;
-                e.1 += r.dur_us;
-                e.2 += 1;
+                by_rule.entry(trace::intern(rule)).or_default().add(r, s);
             }
         }
     }
@@ -256,6 +333,7 @@ fn report(records: &[SpanRecord], files: usize, top: usize) -> String {
     if !by_rule.is_empty() {
         table(&mut out, "per-rule (lift.rule / lift.screen firings)", by_rule);
     }
+    verification_table(&mut out, records);
 
     let mut smt: Vec<&SpanRecord> =
         records.iter().filter(|r| r.name == "smt.prove_unsat" || r.name == "verify.smt_equiv").collect();
@@ -266,7 +344,10 @@ fn report(records: &[SpanRecord], files: usize, top: usize) -> String {
             let outcome = str_arg(r, "outcome").unwrap_or("-");
             let key = str_arg(r, "proof_key")
                 .map_or(String::new(), |k| format!("  key={k}"));
-            let path = str_arg(r, "path").map_or(String::new(), |p| format!("  path={p}"));
+            let mut path = str_arg(r, "path").map_or(String::new(), |p| format!("  path={p}"));
+            if let Some(form) = str_arg(r, "form") {
+                path.push_str(&format!("  form={form}"));
+            }
             let _ = writeln!(
                 out,
                 "  {:>10.2}ms  {}  trace={} outcome={outcome}{path}{key}",
@@ -288,5 +369,58 @@ fn usage(err: &str) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn span(
+        name: &'static str,
+        start_us: u64,
+        dur_us: u64,
+        args: &[(&'static str, &str)],
+    ) -> SpanRecord {
+        SpanRecord {
+            seq: 0,
+            trace_id: 1,
+            span_id: start_us + 1,
+            parent_id: 0,
+            name,
+            cat: "smt",
+            start_us,
+            dur_us,
+            pid: 1,
+            args: args.iter().map(|&(k, v)| (k, ArgValue::Str(v.to_owned()))).collect(),
+        }
+    }
+
+    #[test]
+    fn union_counts_nested_and_overlapping_spans_once() {
+        assert_eq!(union_us(vec![(0, 100), (10, 20), (90, 120)]), 120);
+        assert_eq!(union_us(vec![(50, 60), (0, 10)]), 20);
+        assert_eq!(union_us(Vec::new()), 0);
+    }
+
+    #[test]
+    fn verification_table_splits_paths_and_resolves_cache_hits() {
+        let records = [
+            span("verify.smt_equiv", 0, 1000, &[("path", "linear"), ("form", "poly")]),
+            span(
+                "verify.smt_equiv",
+                2000,
+                3000,
+                &[("path", "solve"), ("proof_key", "k"), ("outcome", "unknown")],
+            ),
+            span("verify.smt_equiv", 6000, 10, &[("path", "proof-cache"), ("proof_key", "k")]),
+            span("verify.smt_equiv", 7000, 10, &[("path", "proof-cache"), ("proof_key", "gone")]),
+        ];
+        let mut out = String::new();
+        verification_table(&mut out, &records);
+        assert!(out.contains("linear         poly               1       1.00"), "{out}");
+        assert!(out.contains("solve          unknown            1       3.00"), "{out}");
+        assert!(out.contains("proof-cache    unknown            1       0.01"), "{out}");
+        assert!(out.contains("proof-cache    unresolved"), "{out}");
     }
 }

@@ -20,9 +20,11 @@ mod common;
 use common::start_with_retry;
 
 /// A tile that lifts and lowers in milliseconds but still reaches the
-/// solver: absd is non-linear, so its lift verification cannot take the
-/// linear fast path and must issue a real `smt.prove_unsat` query.
-const SMT_TILE: &str = "(absd (load a u8 0 0) (load b u8 0 0))";
+/// solver: the nested shift lifts to one deepened narrow, and the normal
+/// forms `floor(floor(a / 4) / 8)` and `floor(a / 32)` differ
+/// syntactically, so its lift verification must issue a real
+/// `smt.prove_unsat` query.
+const SMT_TILE: &str = "(shr (shr (load a u16 0 0) 2) 3)";
 /// A distinct key for the crash half of the test.
 const CRASH_TILE: &str = "(add (load a u8 3 0) (load b u8 3 0))";
 
@@ -177,7 +179,7 @@ fn isolated_compile_stitches_worker_smt_spans_under_the_job() {
     }
     assert!(
         worker_smt.iter().any(|s| s.name == "smt.prove_unsat"),
-        "an absd lift must run at least one real solver query in the worker"
+        "the nested-shift lift must run at least one real solver query in the worker"
     );
 
     // Crash mid-job: the worker dies before shipping spans, so the trace

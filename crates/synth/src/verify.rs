@@ -603,11 +603,12 @@ impl Verifier {
 
     fn smt_equiv(&self, h: &Expr, u: &UberExpr) -> bool {
         let mut sp = trace::span("verify.smt_equiv", "smt");
-        // Fast path: wrap-free linear combinations are decided exactly by
-        // coefficient comparison (most multiply-add lifting queries).
-        if let Some(eq) = crate::linear::decide_linear(h, u) {
+        // Fast path: exact normal forms decide most lifting queries without
+        // the solver (equal forms, or unequal affine forms; see `linear`).
+        if let Some(d) = crate::linear::decide(h, u) {
             sp.arg("path", "linear");
-            return eq;
+            sp.arg("form", d.form.name());
+            return d.equal;
         }
         // The proof cache keys on the translation-canonicalized pair: the
         // encoder names variables by per-buffer relative offsets, so two
@@ -919,39 +920,38 @@ mod tests {
         assert_eq!(delta.verdict_hits, 1, "alpha-renamed pair must hit");
     }
 
+    /// `min(a, b) + max(a, b)` (wrapping u8) against the plain sum `a + b`:
+    /// equivalent, but the normal forms differ (min/max atoms against
+    /// cells), so the verdict needs a real solver proof.
+    fn solver_bound_pair((ax, ay): (i32, i32), (bx, by): (i32, i32)) -> (Expr, UberExpr) {
+        let (a, b) = (hb::load("a", ElemType::U8, ax, ay), hb::load("b", ElemType::U8, bx, by));
+        let h = hb::add(hb::min(a.clone(), b.clone()), hb::max(a, b));
+        let data = |buffer: &str, dx, dy| {
+            UberExpr::Data(Load { buffer: buffer.into(), dx, dy, ty: ElemType::U8 })
+        };
+        let u = UberExpr::VsMpyAdd(uber_ir::VsMpyAdd {
+            inputs: vec![data("a", ax, ay), data("b", bx, by)],
+            kernel: vec![1, 1],
+            saturating: false,
+            out: ElemType::U8,
+        });
+        (h, u)
+    }
+
     #[test]
     fn translated_queries_share_one_proof() {
         // Two queries whose loads differ only by a uniform per-buffer
         // offset shift: distinct verdict-cache entries (the differential
-        // data differs), but one shared SMT proof. absd is outside the
-        // linear fast path, so each verdict would otherwise prove afresh.
+        // data differs), but one shared SMT proof. The pair is outside the
+        // normal-form fast path, so each verdict would otherwise prove
+        // afresh.
         let ver = v();
-        let query = |(ax, ay): (i32, i32), (bx, by): (i32, i32)| {
-            let h = hb::absd(
-                hb::load("a", ElemType::U8, ax, ay),
-                hb::load("b", ElemType::U8, bx, by),
-            );
-            let u = UberExpr::AbsDiff(
-                Box::new(UberExpr::Data(Load {
-                    buffer: "a".into(),
-                    dx: ax,
-                    dy: ay,
-                    ty: ElemType::U8,
-                })),
-                Box::new(UberExpr::Data(Load {
-                    buffer: "b".into(),
-                    dx: bx,
-                    dy: by,
-                    ty: ElemType::U8,
-                })),
-            );
-            (h, u)
-        };
-        let (h1, u1) = query((2, 0), (5, 0));
+        let (h1, u1) = solver_bound_pair((2, 0), (5, 0));
+        assert!(crate::linear::decide(&h1, &u1).is_none(), "the pair must reach the solver");
         assert!(ver.equiv_halide_uber(&h1, &u1));
         let before = ver.memo_snapshot();
         // Buffers shift independently: a by (+2, +3), b by (-4, +7).
-        let (h2, u2) = query((4, 3), (1, 7));
+        let (h2, u2) = solver_bound_pair((4, 3), (1, 7));
         assert!(ver.equiv_halide_uber(&h2, &u2));
         let delta = ver.memo_snapshot().delta_since(&before);
         assert_eq!(delta.smt_queries, 0, "translated query must reuse the proof");
@@ -961,21 +961,7 @@ mod tests {
     #[test]
     fn clones_share_the_memo_but_not_stale_configs() {
         let ver = v();
-        let h = hb::absd(hb::load("a", ElemType::U8, 0, 0), hb::load("b", ElemType::U8, 0, 0));
-        let u = UberExpr::AbsDiff(
-            Box::new(UberExpr::Data(Load {
-                buffer: "a".into(),
-                dx: 0,
-                dy: 0,
-                ty: ElemType::U8,
-            })),
-            Box::new(UberExpr::Data(Load {
-                buffer: "b".into(),
-                dx: 0,
-                dy: 0,
-                ty: ElemType::U8,
-            })),
-        );
+        let (h, u) = solver_bound_pair((0, 0), (0, 0));
         assert!(ver.equiv_halide_uber(&h, &u));
         // A re-pinned clone (the lowering pattern) shares the memo...
         let clone = Verifier { lanes: ver.lanes, vec_bytes: ver.vec_bytes, ..ver.clone() };
@@ -998,6 +984,19 @@ mod tests {
         let delta = deeper.memo_snapshot().delta_since(&before);
         assert_eq!(delta.verdict_hits, 0, "no stale hits across configs");
         assert_eq!(delta.smt_queries, 1);
+    }
+
+    #[test]
+    fn suite_shapes_issue_no_solver_queries() {
+        // Differential testing still screens each pair; the normal form
+        // then decides it without an SMT query.
+        let ver = v();
+        for (family, _, _) in crate::linear::tests::SUITE_SHAPES {
+            let (h, u) = crate::linear::tests::suite_shape(family);
+            let before = ver.memo_snapshot();
+            assert!(ver.equiv_halide_uber(&h, &u), "{family}");
+            assert_eq!(ver.memo_snapshot().delta_since(&before).smt_queries, 0, "{family}");
+        }
     }
 
     #[test]

@@ -39,6 +39,15 @@ echo "   slow partition: ${slow_elapsed}s"
 [ "$slow_elapsed" -le 2700 ] \
   || { echo "slow test partition blew its 2700s budget (${slow_elapsed}s)"; exit 1; }
 
+echo "== release-only suites (golden, hot_path, end_to_end, lower_proptests)"
+# These tests are marked `cfg_attr(debug_assertions, ignore)`: too slow in
+# a debug build, so the partitions above skip them. They run here, in
+# release: golden programs byte-identical, memoized/parallel equivalence,
+# end-to-end kernels, and the lowering property tests.
+cargo test -q --release --offline --locked -p rake-bench \
+  --test golden --test hot_path --test end_to_end
+cargo test -q --release --offline --locked -p rake-synth lower_proptests
+
 echo "== oracle smoke (seeded differential fuzz, 60s budget)"
 # Every workload compiled and executed against the interpreter, plus a
 # budget-capped slice of generated expressions. Deterministic seed, so a
@@ -220,9 +229,10 @@ echo "== trace smoke (end-to-end spans: CLI, isolated server, trace_report)"
 # server pid) riding back over the job frame into the request's file.
 # trace_report --check strictly validates every event in both files.
 trace_dir="$(mktemp -d /tmp/rake-trace-XXXXXX)"
-# absd is non-linear, so its lift verification must issue a real solver
-# query — the trace has to show it.
-echo '(absd (load a u8 0 0) (load b u8 0 0))' \
+# The nested shift lifts to one deepened narrow whose normal form differs
+# syntactically from the source's, so its lift verification must issue a
+# real solver query — the trace has to show it.
+echo '(shr (shr (load a u16 0 0) 2) 3)' \
   | ./target/release/rakec --trace-out "$trace_dir/cli.json" >/dev/null
 grep -q '"rake-trace-v1"' "$trace_dir/cli.json" \
   || { echo "trace smoke: rakec trace missing its schema tag"; exit 1; }

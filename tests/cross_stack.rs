@@ -121,3 +121,137 @@ fn prop_linear_path_correct() {
         assert_eq!(decide_linear(&h, &u2), Some(false));
     }
 }
+
+/// Top-level near-miss mutants of a lifted candidate: flipped rounding or
+/// saturation, shifted shift amounts, bumped weights and constants, and
+/// min/max swaps.
+fn mutants(u: &UberExpr) -> Vec<UberExpr> {
+    let mut out = Vec::new();
+    match u {
+        UberExpr::Narrow { arg, shift, round, saturating, out: ty } => {
+            let mk = |shift, round, saturating| UberExpr::Narrow {
+                arg: arg.clone(),
+                shift,
+                round,
+                saturating,
+                out: *ty,
+            };
+            out.push(mk(*shift, !round, *saturating));
+            out.push(mk(*shift, *round, !saturating));
+            if shift + 1 < arg.ty().bits() {
+                out.push(mk(shift + 1, *round, *saturating));
+            }
+        }
+        UberExpr::VsMpyAdd(v) => {
+            // Stay inside the encoder's weight bound (|w| < 2^12).
+            if v.kernel[0] + 1 < 1 << 12 {
+                let mut bumped = v.clone();
+                bumped.kernel[0] += 1;
+                out.push(UberExpr::VsMpyAdd(bumped));
+            }
+            let flipped = uber_ir::VsMpyAdd { saturating: !v.saturating, ..v.clone() };
+            out.push(UberExpr::VsMpyAdd(flipped));
+        }
+        UberExpr::VvMpyAdd(v) => {
+            let flipped = uber_ir::VvMpyAdd { saturating: !v.saturating, ..v.clone() };
+            out.push(UberExpr::VvMpyAdd(flipped));
+        }
+        UberExpr::Min(a, b) => out.push(UberExpr::Max(a.clone(), b.clone())),
+        UberExpr::Max(a, b) => out.push(UberExpr::Min(a.clone(), b.clone())),
+        UberExpr::Average { a, b, round } => {
+            out.push(UberExpr::Average { a: a.clone(), b: b.clone(), round: !round });
+        }
+        UberExpr::Bcast { value: uber_ir::ScalarSource::Imm(v), ty } => out.push(UberExpr::Bcast {
+            value: uber_ir::ScalarSource::Imm(ty.wrap(v + 1)),
+            ty: *ty,
+        }),
+        UberExpr::Shl { arg, amount } if amount + 1 < arg.ty().bits() => {
+            out.push(UberExpr::Shl { arg: arg.clone(), amount: amount + 1 });
+        }
+        _ => {}
+    }
+    out
+}
+
+/// Whether a pair is small enough for the solver cross-check: few nodes,
+/// no 32-bit lanes, and no wide multipliers — vector products and
+/// `vs-mpy-add`s over 16-bit inputs (bit-blasted into 32-bit accumulator
+/// multiplies) are what exhausts a solver's budget.
+fn solver_sized(h: &Expr, u: &UberExpr) -> bool {
+    let mut ok = halide_ir::analysis::node_count(h) + u.node_count() <= 12;
+    halide_ir::analysis::visit(h, &mut |n| {
+        ok &= n.ty().bits() <= 16;
+        if let Expr::Binary(b) = n {
+            ok &= !(b.op == halide_ir::BinOp::Mul
+                && !matches!(*b.rhs, Expr::Broadcast(_))
+                && !matches!(*b.lhs, Expr::Broadcast(_)));
+        }
+    });
+    fn walk(u: &UberExpr, ok: &mut bool) {
+        *ok &= u.ty().bits() <= 16
+            && match u {
+                UberExpr::VvMpyAdd(_) => false,
+                UberExpr::VsMpyAdd(v) => v.inputs.iter().all(|i| i.ty().bits() <= 8),
+                _ => true,
+            };
+        u.children().into_iter().for_each(|c| walk(c, ok));
+    }
+    walk(u, &mut ok);
+    ok
+}
+
+/// Conflict cap for the solver cross-check. The pairs [`solver_sized`]
+/// admits finish far below it; the cap only turns a regression into a
+/// failure instead of a hang.
+const SOLVER_BUDGET: u64 = 200_000;
+
+/// Generated expressions, every sub-expression's lift, and near-miss
+/// mutants of those lifts. Whenever the normal form calls a pair equal,
+/// the interpreters must agree on the verifier's environments at both
+/// widths, and the solver must prove every pair small enough to finish.
+#[test]
+fn prop_normal_form_equal_implies_equivalent() {
+    let mut rng = Rng::seed_from_u64(0x0f0f_5eed);
+    let cfg = oracle::GenConfig::default();
+    // Lifting and the check both rest on differential testing alone, so
+    // the normal form is the only proof in play.
+    let testing = Verifier { use_smt: false, ..Verifier::fast() };
+    let (mut equal, mut proved) = (0, 0);
+    for _ in 0..150 {
+        let e = oracle::gen_expr(&mut rng, &cfg);
+        let mut subs = Vec::new();
+        halide_ir::analysis::visit(&e, &mut |n| subs.push(n.clone()));
+        for s in subs {
+            let mut stats = synth::SynthStats::default();
+            let Some((lifted, _)) = synth::lift_expr(&s, &testing, &mut stats) else {
+                continue;
+            };
+            for u in std::iter::once(lifted.clone()).chain(mutants(&lifted)) {
+                let Some(d) = synth::linear::decide(&s, &u) else { continue };
+                if !d.equal {
+                    continue;
+                }
+                equal += 1;
+                assert!(testing.equiv_halide_uber(&s, &u), "normal form unsound: {s} vs {u}");
+                if solver_sized(&s, &u) {
+                    let verdict = smt::SharedSolver::new().prove_unsat(
+                        |ctx| {
+                            let mut any_ne = ctx.ff();
+                            for lane in 0..2 {
+                                let th = synth::encode::encode_halide_lane(ctx, &s, lane);
+                                let tu = synth::encode::encode_uber_lane(ctx, &u, lane);
+                                let ne = ctx.ne(th, tu);
+                                any_ne = ctx.or(any_ne, ne);
+                            }
+                            any_ne
+                        },
+                        SOLVER_BUDGET,
+                    );
+                    assert_eq!(verdict, Some(true), "solver does not prove {s} vs {u}");
+                    proved += 1;
+                }
+            }
+        }
+    }
+    assert!(equal >= 1000 && proved >= 300, "too few pairs: {equal} equal, {proved} proved");
+}
