@@ -10,9 +10,9 @@
 //!     their intervals, so nested and concurrent spans count once)
 //!   * per-operation breakdown — the same, by span name
 //!   * per-rule breakdown — time and firing count per lifting rule
-//!   * verification — lifting checks by path (normal form, proof cache,
-//!     solver) and outcome, with their count and busy time
-//!   * top-N slowest SMT queries, with their proof-cache keys and outcomes
+//!   * verification — lifting checks by path (normal form, solver) and
+//!     outcome, with their count and busy time
+//!   * top-N slowest SMT queries (`smt.prove_unsat`), with their outcomes
 //!
 //! ```sh
 //! trace_report trace.json                  # breakdown tables
@@ -236,9 +236,8 @@ fn union_us(mut intervals: Vec<(u64, u64)>) -> u64 {
 }
 
 /// How each lifting check (`verify.smt_equiv`) was decided: by path
-/// (normal form, proof cache, solver) and outcome. A normal-form row's
-/// outcome is its `form`; a proof-cache hit takes the outcome of the solve
-/// with the same `proof_key`.
+/// (normal form, solver) and outcome. A normal-form row's outcome is its
+/// `form`.
 fn verification_table(out: &mut String, records: &[SpanRecord]) {
     use std::fmt::Write as _;
     let checks: Vec<&SpanRecord> =
@@ -246,19 +245,11 @@ fn verification_table(out: &mut String, records: &[SpanRecord]) {
     if checks.is_empty() {
         return;
     }
-    let solved: HashMap<&str, &str> = checks
-        .iter()
-        .filter(|r| str_arg(r, "path") == Some("solve"))
-        .filter_map(|r| Some((str_arg(r, "proof_key")?, str_arg(r, "outcome")?)))
-        .collect();
     let mut rows: HashMap<(&str, &str), (usize, u64)> = HashMap::new();
     for r in &checks {
         let path = str_arg(r, "path").unwrap_or("-");
         let outcome = match path {
             "linear" => str_arg(r, "form").unwrap_or("linear"),
-            "proof-cache" => {
-                str_arg(r, "proof_key").and_then(|k| solved.get(k).copied()).unwrap_or("unresolved")
-            }
             _ => str_arg(r, "outcome").unwrap_or("-"),
         };
         let row = rows.entry((path, outcome)).or_insert((0, 0));
@@ -336,23 +327,16 @@ fn report(records: &[SpanRecord], files: usize, top: usize) -> String {
     verification_table(&mut out, records);
 
     let mut smt: Vec<&SpanRecord> =
-        records.iter().filter(|r| r.name == "smt.prove_unsat" || r.name == "verify.smt_equiv").collect();
-    smt.sort_by(|a, b| b.dur_us.cmp(&a.dur_us));
+        records.iter().filter(|r| r.name == "smt.prove_unsat").collect();
+    smt.sort_by_key(|r| std::cmp::Reverse(r.dur_us));
     if !smt.is_empty() {
-        let _ = writeln!(out, "top {} slowest SMT queries:", top.min(smt.len()));
+        let _ = writeln!(out, "top {} slowest SMT queries (smt.prove_unsat):", top.min(smt.len()));
         for r in smt.iter().take(top) {
             let outcome = str_arg(r, "outcome").unwrap_or("-");
-            let key = str_arg(r, "proof_key")
-                .map_or(String::new(), |k| format!("  key={k}"));
-            let mut path = str_arg(r, "path").map_or(String::new(), |p| format!("  path={p}"));
-            if let Some(form) = str_arg(r, "form") {
-                path.push_str(&format!("  form={form}"));
-            }
             let _ = writeln!(
                 out,
-                "  {:>10.2}ms  {}  trace={} outcome={outcome}{path}{key}",
+                "  {:>10.2}ms  trace={} outcome={outcome}",
                 ms(r.dur_us),
-                r.name,
                 trace::fmt_id(r.trace_id),
             );
         }
@@ -407,20 +391,11 @@ mod tests {
     fn verification_table_splits_paths_and_resolves_cache_hits() {
         let records = [
             span("verify.smt_equiv", 0, 1000, &[("path", "linear"), ("form", "poly")]),
-            span(
-                "verify.smt_equiv",
-                2000,
-                3000,
-                &[("path", "solve"), ("proof_key", "k"), ("outcome", "unknown")],
-            ),
-            span("verify.smt_equiv", 6000, 10, &[("path", "proof-cache"), ("proof_key", "k")]),
-            span("verify.smt_equiv", 7000, 10, &[("path", "proof-cache"), ("proof_key", "gone")]),
+            span("verify.smt_equiv", 2000, 3000, &[("path", "solve"), ("outcome", "unknown")]),
         ];
         let mut out = String::new();
         verification_table(&mut out, &records);
         assert!(out.contains("linear         poly               1       1.00"), "{out}");
         assert!(out.contains("solve          unknown            1       3.00"), "{out}");
-        assert!(out.contains("proof-cache    unknown            1       0.01"), "{out}");
-        assert!(out.contains("proof-cache    unresolved"), "{out}");
     }
 }

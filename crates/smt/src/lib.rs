@@ -34,6 +34,6 @@ mod shared;
 mod solver;
 mod term;
 
-pub use shared::SharedSolver;
+pub use shared::prove_unsat;
 pub use solver::{check_equivalent, BvModel, BvSolver, SmtResult};
 pub use term::{Context, TermId};

@@ -1,97 +1,42 @@
-//! A shareable, long-lived solver handle over one hash-consed [`Context`].
-//!
-//! Every equivalence proof Rake issues used to build a fresh [`Context`],
-//! re-interning the same load/constant/arithmetic terms thousands of times
-//! per compilation. [`SharedSolver`] keeps a single context alive behind a
-//! mutex: queries build their terms under the lock (hash-consing reuses
-//! any structurally-identical term from earlier queries) and then solve
-//! with a throwaway [`BvSolver`].
-//!
-//! Sharing the context cannot change verdicts: the CNF a query sees is
-//! produced by a fresh `Blaster` that allocates SAT variables lazily, in
-//! traversal order of the *asserted term*, so it depends only on that
-//! term's structure — never on how many unrelated terms the context
-//! already holds or on the numeric values of their [`TermId`]s. DESIGN.md
-//! ("Performance") spells out the full determinism argument.
-
-use std::sync::Mutex;
+//! The one-shot proof entry point: build a term in a fresh [`Context`]
+//! and decide it under a conflict budget.
 
 use crate::solver::{BvSolver, SmtResult};
 use crate::term::{Context, TermId};
 
-/// A mutex-guarded [`Context`] reused across many queries.
+/// Build a width-1 term in a fresh context and decide whether it is
+/// unsatisfiable within `max_conflicts` CDCL conflicts.
 ///
-/// Cheap to share behind an `Arc`; each query holds the lock only for its
-/// own term construction and solve.
-#[derive(Debug, Default)]
-pub struct SharedSolver {
-    ctx: Mutex<Context>,
-}
-
-impl SharedSolver {
-    /// A fresh shared solver with an empty context.
-    pub fn new() -> SharedSolver {
-        SharedSolver::default()
+/// Returns `Some(true)` when unsatisfiable, `Some(false)` when a model
+/// exists, `None` when the conflict budget ran out ("unknown").
+pub fn prove_unsat(build: impl FnOnce(&mut Context) -> TermId, max_conflicts: u64) -> Option<bool> {
+    let mut sp = trace::span("smt.prove_unsat", "smt");
+    let mut ctx = Context::new();
+    let t = build(&mut ctx);
+    let mut solver = BvSolver::new(&ctx);
+    solver.assert_term(t);
+    let verdict = solver.check_limited(max_conflicts).map(|r| r == SmtResult::Unsat);
+    if sp.is_active() {
+        sp.arg("terms", ctx.len());
+        sp.arg(
+            "outcome",
+            match verdict {
+                Some(true) => "unsat",
+                Some(false) => "sat",
+                None => "unknown",
+            },
+        );
     }
-
-    /// Run `f` with exclusive access to the shared context. Use this for
-    /// queries that need more than a single asserted term (e.g. building a
-    /// [`BvSolver`] with several assertions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mutex was poisoned by a panicking query.
-    pub fn run<R>(&self, f: impl FnOnce(&mut Context) -> R) -> R {
-        let mut ctx = self.ctx.lock().expect("shared solver context poisoned");
-        f(&mut ctx)
-    }
-
-    /// Build a width-1 term under the shared context and decide whether it
-    /// is unsatisfiable within `max_conflicts` CDCL conflicts.
-    ///
-    /// Returns `Some(true)` when unsatisfiable, `Some(false)` when a model
-    /// exists, `None` when the conflict budget ran out ("unknown").
-    pub fn prove_unsat(
-        &self,
-        build: impl FnOnce(&mut Context) -> TermId,
-        max_conflicts: u64,
-    ) -> Option<bool> {
-        let mut sp = trace::span("smt.prove_unsat", "smt");
-        self.run(|ctx| {
-            let before = ctx.len();
-            let t = build(ctx);
-            let mut solver = BvSolver::new(ctx);
-            solver.assert_term(t);
-            let verdict = solver.check_limited(max_conflicts).map(|r| r == SmtResult::Unsat);
-            if sp.is_active() {
-                sp.arg("terms", ctx.len());
-                sp.arg("new_terms", ctx.len() - before);
-                sp.arg(
-                    "outcome",
-                    match verdict {
-                        Some(true) => "unsat",
-                        Some(false) => "sat",
-                        None => "unknown",
-                    },
-                );
-            }
-            verdict
-        })
-    }
-
-    /// Number of terms interned in the shared context — the observable
-    /// measure of cross-query reuse (a repeated query adds zero terms).
-    pub fn terms(&self) -> usize {
-        self.run(|ctx| ctx.len())
-    }
+    verdict
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn commutes(s: &SharedSolver) -> Option<bool> {
-        s.prove_unsat(
+    #[test]
+    fn decides_across_queries() {
+        let commutes = prove_unsat(
             |ctx| {
                 let x = ctx.var("x", 8);
                 let y = ctx.var("y", 8);
@@ -100,15 +45,9 @@ mod tests {
                 ctx.ne(l, r)
             },
             u64::MAX,
-        )
-    }
-
-    #[test]
-    fn decides_across_queries() {
-        let s = SharedSolver::new();
-        assert_eq!(commutes(&s), Some(true));
-        // A satisfiable query on the same context.
-        let sat = s.prove_unsat(
+        );
+        assert_eq!(commutes, Some(true));
+        let sat = prove_unsat(
             |ctx| {
                 let x = ctx.var("x", 8);
                 let k = ctx.constant(3, 8);
@@ -117,45 +56,5 @@ mod tests {
             u64::MAX,
         );
         assert_eq!(sat, Some(false));
-    }
-
-    #[test]
-    fn repeated_queries_intern_no_new_terms() {
-        let s = SharedSolver::new();
-        assert_eq!(commutes(&s), Some(true));
-        let after_first = s.terms();
-        for _ in 0..5 {
-            assert_eq!(commutes(&s), Some(true));
-        }
-        assert_eq!(s.terms(), after_first, "hash-consing must absorb repeats");
-    }
-
-    #[test]
-    fn verdicts_match_fresh_context() {
-        // The same query answered on a polluted shared context and on a
-        // fresh private context must agree.
-        let s = SharedSolver::new();
-        for seed in 0..20u64 {
-            let _ = s.prove_unsat(
-                |ctx| {
-                    let x = ctx.var(&format!("p{seed}"), 16);
-                    let k = ctx.constant(seed, 16);
-                    let sum = ctx.add(x, k);
-                    ctx.eq(sum, x)
-                },
-                u64::MAX,
-            );
-        }
-        let build = |ctx: &mut Context| {
-            let x = ctx.var("x", 16);
-            let two = ctx.constant(2, 16);
-            let l = ctx.mul(x, two);
-            let r = ctx.shl(x, 1);
-            ctx.ne(l, r)
-        };
-        let shared = s.prove_unsat(build, u64::MAX);
-        let fresh = SharedSolver::new().prove_unsat(build, u64::MAX);
-        assert_eq!(shared, fresh);
-        assert_eq!(shared, Some(true));
     }
 }

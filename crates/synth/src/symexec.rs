@@ -473,37 +473,35 @@ pub fn smt_equiv_uber_hvx(
     vec_bytes: usize,
     deinterleaved: bool,
     conflict_budget: u64,
-    solver: &smt::SharedSolver,
 ) -> Option<bool> {
     use smt::{BvSolver, SmtResult};
-    solver.run(|ctx| {
-        let uber_lanes: Vec<TermId> =
-            (0..lanes).map(|i| crate::encode::encode_uber_lane(ctx, u, i)).collect();
-        let mut sx = SymExec { ctx: &mut *ctx, lanes, vec_bytes };
-        let val = sx.eval(h).ok()?;
-        let got = val.natural_lanes(&mut *ctx, u.ty());
-        if got.len() != uber_lanes.len() {
-            return Some(false);
-        }
-        let mut any_ne = ctx.ff();
-        for (i, &g) in got.iter().enumerate() {
-            let want_idx = if deinterleaved {
-                let n = got.len();
-                if i < n / 2 {
-                    2 * i
-                } else {
-                    2 * (i - n / 2) + 1
-                }
+    let ctx = &mut Context::new();
+    let uber_lanes: Vec<TermId> =
+        (0..lanes).map(|i| crate::encode::encode_uber_lane(ctx, u, i)).collect();
+    let mut sx = SymExec { ctx: &mut *ctx, lanes, vec_bytes };
+    let val = sx.eval(h).ok()?;
+    let got = val.natural_lanes(&mut *ctx, u.ty());
+    if got.len() != uber_lanes.len() {
+        return Some(false);
+    }
+    let mut any_ne = ctx.ff();
+    for (i, &g) in got.iter().enumerate() {
+        let want_idx = if deinterleaved {
+            let n = got.len();
+            if i < n / 2 {
+                2 * i
             } else {
-                i
-            };
-            let ne = ctx.ne(g, uber_lanes[want_idx]);
-            any_ne = ctx.or(any_ne, ne);
-        }
-        let mut solver = BvSolver::new(ctx);
-        solver.assert_term(any_ne);
-        solver.check_limited(conflict_budget).map(|r| r == SmtResult::Unsat)
-    })
+                2 * (i - n / 2) + 1
+            }
+        } else {
+            i
+        };
+        let ne = ctx.ne(g, uber_lanes[want_idx]);
+        any_ne = ctx.or(any_ne, ne);
+    }
+    let mut solver = BvSolver::new(ctx);
+    solver.assert_term(any_ne);
+    solver.check_limited(conflict_budget).map(|r| r == SmtResult::Unsat)
 }
 
 fn ext(ctx: &mut Context, t: TermId, signed: bool, extra: u32) -> TermId {
@@ -558,8 +556,7 @@ mod tests {
 
     /// Solver-checked equivalence over a tiny symbolic tile.
     fn smt_equiv(u: &UberExpr, h: &HvxExpr, lanes: usize, deint: bool) -> bool {
-        let solver = smt::SharedSolver::new();
-        smt_equiv_uber_hvx(u, h, lanes, lanes, deint, u64::MAX, &solver).unwrap_or(false)
+        smt_equiv_uber_hvx(u, h, lanes, lanes, deint, u64::MAX).unwrap_or(false)
     }
 
     #[test]

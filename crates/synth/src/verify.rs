@@ -8,22 +8,23 @@
 //! this split of duties between testing and proof).
 //!
 //! The oracle memoizes its hot path (on by default, [`Verifier::memoize`]):
-//! test-environment families are generated once per buffer signature, SMT
-//! terms are hash-consed in one shared [`SharedSolver`] context, and full
-//! verdicts are cached keyed by the canonicalized (alpha-renamed) query
-//! pair plus the oracle configuration. Clones of a `Verifier` — including
-//! the re-pinned clones the lowering stages make — share one memo, so a
-//! query answered during lifting is free when sketch synthesis asks again.
+//! test-environment families are generated once per buffer signature, and
+//! full verdicts are cached keyed by the canonicalized (alpha-renamed)
+//! query pair plus the oracle configuration. Clones of a `Verifier` —
+//! including the re-pinned clones the lowering stages make — share one
+//! memo, so a query answered during lifting is free when sketch synthesis
+//! asks again. Every SMT query builds its terms in a fresh context
+//! ([`smt::prove_unsat`]).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use halide_ir::{Env, EvalCtx, Expr};
 use hvx::{HvxExpr, Op};
 use lanes::{ElemType, Vector};
-use smt::{Context, SharedSolver};
+use smt::Context;
 use uber_ir::{eval_uber, ScalarSource, UberExpr};
 
 use crate::encode::{encode_halide_lane, encode_uber_lane};
@@ -56,16 +57,12 @@ pub struct Verifier {
     /// to the target width; off by default — lowering is otherwise
     /// verified differentially).
     pub smt_lowering: bool,
-    /// Memoize verdicts, test environments, and SMT terms across queries.
-    /// Off reproduces the unmemoized path exactly (fresh contexts and
-    /// envs per query); verdicts are identical either way.
+    /// Memoize verdicts and test environments across queries. Off
+    /// reproduces the unmemoized path exactly (fresh envs per query);
+    /// verdicts are identical either way.
     pub memoize: bool,
-    /// Fan lifting candidate screening across helper threads drawn from
-    /// [`crate::pool`]. Winner selection is input-order equivalent, so
-    /// output programs are byte-identical to the serial path.
-    pub parallel_lifting: bool,
-    /// Shared memo state (verdict cache, env cache, SMT context, query
-    /// counters). Clones share it; a fresh handle starts cold.
+    /// Shared memo state (verdict cache, env cache, query counters).
+    /// Clones share it; a fresh handle starts cold.
     pub memo: MemoHandle,
 }
 
@@ -81,7 +78,6 @@ impl Default for Verifier {
             smt_conflict_budget: 50_000,
             smt_lowering: false,
             memoize: true,
-            parallel_lifting: true,
             memo: MemoHandle::default(),
         }
     }
@@ -146,44 +142,11 @@ enum VerdictKey {
     HalideHvx { cfg: OracleConfig, e: Expr, h: HvxExpr },
 }
 
-/// A memoized SMT proof outcome, keyed by the offset-translated canonical
-/// pair (see [`Canon::proof`]): the solver's result is a function of the
-/// term DAG alone, so translated copies of one query share one solve.
-#[derive(PartialEq, Eq, Hash)]
-struct ProofKey {
-    smt_lanes: usize,
-    budget: u64,
-    h: Expr,
-    u: UberExpr,
-}
-
-/// A compact, stable-within-a-run fingerprint of a proof key, used to
-/// correlate repeated SMT queries in trace output without serializing
-/// the full expression pair into every span.
-fn proof_fingerprint(key: &ProofKey) -> String {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    format!("{:016x}", h.finish())
-}
-
-/// The proof map is process-global rather than per-[`MemoHandle`]: the key
-/// carries every proof-relevant parameter and the encoder and solver are
-/// deterministic, so an outcome is a pure function of the key no matter
-/// which `Rake` instance computed it. Harness runs that build one `Rake`
-/// per workload still share proofs for the recurring stencil/matmul query
-/// shapes. Hit counters stay per-handle (only storage is shared).
-fn global_proofs() -> &'static Mutex<HashMap<ProofKey, Option<bool>>> {
-    static PROOFS: OnceLock<Mutex<HashMap<ProofKey, Option<bool>>>> = OnceLock::new();
-    PROOFS.get_or_init(Mutex::default)
-}
-
 /// Env-cache key: (buffer signature, lanes, random env count).
 type EnvKey = (BufferSpec, usize, usize);
 
 #[derive(Default)]
 struct MemoState {
-    solver: SharedSolver,
     verdicts: Mutex<HashMap<VerdictKey, bool>>,
     envs: Mutex<HashMap<EnvKey, Arc<Vec<Env>>>>,
     smt_queries: AtomicU64,
@@ -209,7 +172,6 @@ impl std::fmt::Debug for MemoHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemoHandle")
             .field("verdicts", &lock(&self.0.verdicts).len())
-            .field("proofs", &lock(global_proofs()).len())
             .field("envs", &lock(&self.0.envs).len())
             .field("smt_queries", &self.0.smt_queries.load(Ordering::Relaxed))
             .field("verdict_hits", &self.0.verdict_hits.load(Ordering::Relaxed))
@@ -230,30 +192,9 @@ impl MemoHandle {
         lock(&self.0.verdicts).insert(key, verdict);
     }
 
-    fn lookup_proof(&self, key: &ProofKey) -> Option<Option<bool>> {
-        let hit = lock(global_proofs()).get(key).copied();
-        if hit.is_some() {
-            self.0.verdict_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
-    fn insert_proof(&self, key: ProofKey, outcome: Option<bool>) {
-        lock(global_proofs()).insert(key, outcome);
-    }
-
     fn record_smt(&self, elapsed: Duration) {
         self.0.smt_queries.fetch_add(1, Ordering::Relaxed);
         self.0.smt_nanos.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    fn solver(&self) -> &SharedSolver {
-        &self.0.solver
-    }
-
-    /// Terms interned in the shared SMT context (a reuse metric).
-    pub fn smt_terms(&self) -> usize {
-        self.0.solver.terms()
     }
 
     fn snapshot(&self) -> MemoSnapshot {
@@ -308,67 +249,17 @@ fn add_hvx_loads(e: &HvxExpr, spec: &mut BufferSpec) {
     }
 }
 
-/// A joint rewrite of a (Halide, uber) query pair used to canonicalize
-/// cache keys: buffer alpha-renaming, optionally with per-buffer uniform
-/// offset translation.
-#[derive(Default)]
+/// A joint buffer alpha-renaming of a (Halide, uber) query pair, used to
+/// canonicalize verdict-cache keys. Verdict-preserving for the whole
+/// oracle (differential + proof), since buffer names are opaque to both.
 struct Canon {
     /// Buffer → canonical name (`b0`, `b1`, ... in first-appearance order
     /// over the Halide expression, then the candidate).
     names: HashMap<String, String>,
-    /// Buffer → (min dx, min dy) over its vector loads on both sides;
-    /// subtracted so the minimum becomes 0.
-    load_shift: HashMap<String, (i32, i32)>,
-    /// Buffer → (min x, min dy) over its scalar reads on both sides.
-    scalar_shift: HashMap<String, (i32, i32)>,
 }
 
 impl Canon {
-    /// Alpha-renaming only: verdict-preserving for the whole oracle
-    /// (differential + proof), since buffer names are opaque to both.
     fn alpha(h: &Expr, u: &UberExpr) -> Canon {
-        let mut canon = Canon::default();
-        canon.collect_names(h, u);
-        canon
-    }
-
-    /// Alpha-renaming plus per-buffer offset translation. This preserves
-    /// the *SMT* verdict exactly — the encoder names a load variable by
-    /// `(buffer, dx + lane, dy)` and a scalar by `(buffer, x, dy)`, so a
-    /// uniform per-buffer shift yields the identical term DAG, identical
-    /// CNF, and the identical solver trajectory (including budget
-    /// exhaustion). It does NOT preserve differential verdicts (concrete
-    /// test data varies by offset), so it keys [`ProofKey`] only.
-    fn proof(h: &Expr, u: &UberExpr) -> Canon {
-        let mut canon = Canon::default();
-        canon.collect_names(h, u);
-        let mut note_load = |buffer: &str, dx: i32, dy: i32| {
-            let e = canon.load_shift.entry(buffer.to_owned()).or_insert((dx, dy));
-            e.0 = e.0.min(dx);
-            e.1 = e.1.min(dy);
-        };
-        let mut note_scalar_shifts: Vec<(String, i32, i32)> = Vec::new();
-        halide_ir::analysis::visit(h, &mut |n| match n {
-            Expr::Load(l) => note_load(&l.buffer, l.dx, l.dy),
-            Expr::BroadcastLoad(b) => note_scalar_shifts.push((b.buffer.clone(), b.x, b.dy)),
-            _ => {}
-        });
-        visit_uber(u, &mut |n| match n {
-            UberExpr::Data(l) => note_load(&l.buffer, l.dx, l.dy),
-            UberExpr::Bcast { value: ScalarSource::Scalar { buffer, x, dy }, .. } => {
-                note_scalar_shifts.push((buffer.clone(), *x, *dy));
-            }
-            _ => {}
-        });
-        for (buffer, x, dy) in note_scalar_shifts {
-            let e = canon.scalar_shift.entry(buffer).or_insert((x, dy));
-            e.0 = e.0.min(x);
-            e.1 = e.1.min(dy);
-        }
-        canon
-    }
-
-    fn collect_names(&mut self, h: &Expr, u: &UberExpr) {
         let mut order: Vec<String> = Vec::new();
         let mut note = |name: &str| {
             if !order.iter().any(|n| n == name) {
@@ -385,8 +276,8 @@ impl Canon {
             UberExpr::Bcast { value: ScalarSource::Scalar { buffer, .. }, .. } => note(buffer),
             _ => {}
         });
-        self.names =
-            order.into_iter().enumerate().map(|(i, n)| (n, format!("b{i}"))).collect();
+        let names = order.into_iter().enumerate().map(|(i, n)| (n, format!("b{i}"))).collect();
+        Canon { names }
     }
 
     fn name(&self, n: &str) -> String {
@@ -394,18 +285,7 @@ impl Canon {
     }
 
     fn load(&self, l: &halide_ir::Load) -> halide_ir::Load {
-        let (sx, sy) = self.load_shift.get(&l.buffer).copied().unwrap_or((0, 0));
-        halide_ir::Load {
-            buffer: self.name(&l.buffer),
-            dx: l.dx - sx,
-            dy: l.dy - sy,
-            ty: l.ty,
-        }
-    }
-
-    fn scalar(&self, buffer: &str, x: i32, dy: i32) -> ScalarSource {
-        let (sx, sy) = self.scalar_shift.get(buffer).copied().unwrap_or((0, 0));
-        ScalarSource::Scalar { buffer: self.name(buffer), x: x - sx, dy: dy - sy }
+        halide_ir::Load { buffer: self.name(&l.buffer), dx: l.dx, dy: l.dy, ty: l.ty }
     }
 
     fn halide(&self, e: &Expr) -> Expr {
@@ -413,13 +293,12 @@ impl Canon {
         match e {
             Expr::Load(l) => Expr::Load(self.load(l)),
             Expr::Broadcast(b) => Expr::Broadcast(b.clone()),
-            Expr::BroadcastLoad(b) => {
-                let ScalarSource::Scalar { buffer, x, dy } = self.scalar(&b.buffer, b.x, b.dy)
-                else {
-                    unreachable!("scalar() always returns Scalar")
-                };
-                Expr::BroadcastLoad(halide_ir::BroadcastLoad { buffer, x, dy, ty: b.ty })
-            }
+            Expr::BroadcastLoad(b) => Expr::BroadcastLoad(halide_ir::BroadcastLoad {
+                buffer: self.name(&b.buffer),
+                x: b.x,
+                dy: b.dy,
+                ty: b.ty,
+            }),
             Expr::Cast(c) => Expr::Cast(Cast {
                 to: c.to,
                 saturating: c.saturating,
@@ -444,7 +323,8 @@ impl Canon {
         match u {
             UberExpr::Data(l) => UberExpr::Data(self.load(l)),
             UberExpr::Bcast { value: ScalarSource::Scalar { buffer, x, dy }, ty } => {
-                UberExpr::Bcast { value: self.scalar(buffer, *x, *dy), ty: *ty }
+                let value = ScalarSource::Scalar { buffer: self.name(buffer), x: *x, dy: *dy };
+                UberExpr::Bcast { value, ty: *ty }
             }
             UberExpr::Bcast { value, ty } => UberExpr::Bcast { value: value.clone(), ty: *ty },
             UberExpr::VsMpyAdd(v) => UberExpr::VsMpyAdd(VsMpyAdd {
@@ -610,31 +490,6 @@ impl Verifier {
             sp.arg("form", d.form.name());
             return d.equal;
         }
-        // The proof cache keys on the translation-canonicalized pair: the
-        // encoder names variables by per-buffer relative offsets, so two
-        // queries that differ only in a uniform per-buffer shift produce
-        // the same term DAG and hence the same proof outcome (including
-        // budget exhaustion). The stencil workloads hit this constantly —
-        // every row of a separable filter is a dy-translation of the rest.
-        let key = self.memoize.then(|| {
-            let canon = Canon::proof(h, u);
-            ProofKey {
-                smt_lanes: self.smt_lanes,
-                budget: self.smt_conflict_budget,
-                h: canon.halide(h),
-                u: canon.uber(u),
-            }
-        });
-        if sp.is_active() {
-            if let Some(k) = key.as_ref() {
-                sp.arg("proof_key", proof_fingerprint(k));
-            }
-        }
-        if let Some(hit) = key.as_ref().and_then(|k| self.memo.lookup_proof(k)) {
-            sp.arg("path", "proof-cache");
-            sp.arg("proof_cache", "hit");
-            return hit.unwrap_or(true);
-        }
         let t0 = Instant::now();
         let build = |ctx: &mut Context| {
             let mut sp = trace::span("verify.encode", "verify");
@@ -648,16 +503,10 @@ impl Verifier {
             sp.arg("lanes", self.smt_lanes);
             any_ne
         };
-        let result = if self.memoize {
-            self.memo.solver().prove_unsat(build, self.smt_conflict_budget)
-        } else {
-            // Unmemoized: a throwaway context per query, as before.
-            SharedSolver::new().prove_unsat(build, self.smt_conflict_budget)
-        };
+        let result = smt::prove_unsat(build, self.smt_conflict_budget);
         self.memo.record_smt(t0.elapsed());
         if sp.is_active() {
             sp.arg("path", "solve");
-            sp.arg("proof_cache", "miss");
             sp.arg(
                 "outcome",
                 match result {
@@ -666,9 +515,6 @@ impl Verifier {
                     None => "unknown",
                 },
             );
-        }
-        if let Some(key) = key {
-            self.memo.insert_proof(key, result);
         }
         // Proof effort exhausted: fall back on the differential evidence
         // that already screened this candidate (documented in DESIGN.md's
@@ -730,13 +576,6 @@ impl Verifier {
         }
         if self.smt_lowering {
             let t0 = Instant::now();
-            let fresh;
-            let solver = if self.memoize {
-                self.memo.solver()
-            } else {
-                fresh = SharedSolver::new();
-                &fresh
-            };
             let proved = crate::symexec::smt_equiv_uber_hvx(
                 u,
                 h,
@@ -744,7 +583,6 @@ impl Verifier {
                 self.vec_bytes,
                 deinterleaved,
                 self.smt_conflict_budget,
-                solver,
             );
             self.memo.record_smt(t0.elapsed());
             if let Some(proved) = proved {
@@ -939,26 +777,6 @@ mod tests {
     }
 
     #[test]
-    fn translated_queries_share_one_proof() {
-        // Two queries whose loads differ only by a uniform per-buffer
-        // offset shift: distinct verdict-cache entries (the differential
-        // data differs), but one shared SMT proof. The pair is outside the
-        // normal-form fast path, so each verdict would otherwise prove
-        // afresh.
-        let ver = v();
-        let (h1, u1) = solver_bound_pair((2, 0), (5, 0));
-        assert!(crate::linear::decide(&h1, &u1).is_none(), "the pair must reach the solver");
-        assert!(ver.equiv_halide_uber(&h1, &u1));
-        let before = ver.memo_snapshot();
-        // Buffers shift independently: a by (+2, +3), b by (-4, +7).
-        let (h2, u2) = solver_bound_pair((4, 3), (1, 7));
-        assert!(ver.equiv_halide_uber(&h2, &u2));
-        let delta = ver.memo_snapshot().delta_since(&before);
-        assert_eq!(delta.smt_queries, 0, "translated query must reuse the proof");
-        assert_eq!(delta.verdict_hits, 1, "the proof-cache hit is counted");
-    }
-
-    #[test]
     fn clones_share_the_memo_but_not_stale_configs() {
         let ver = v();
         let (h, u) = solver_bound_pair((0, 0), (0, 0));
@@ -968,16 +786,15 @@ mod tests {
         let before = clone.memo_snapshot();
         assert!(clone.equiv_halide_uber(&h, &u));
         assert_eq!(clone.memo_snapshot().delta_since(&before).verdict_hits, 1);
-        // ...a different differential geometry re-runs the differential
-        // under its own verdict key, sharing only the SMT proof (which
-        // depends on smt_lanes and budget, not on the test geometry)...
+        // ...a different differential geometry re-checks under its own
+        // verdict key, proof included...
         let wider = Verifier { lanes: 16, vec_bytes: 16, ..ver.clone() };
         let before = wider.memo_snapshot();
         assert!(wider.equiv_halide_uber(&h, &u));
         let delta = wider.memo_snapshot().delta_since(&before);
-        assert_eq!(delta.smt_queries, 0, "proof is geometry-independent");
-        assert_eq!(delta.verdict_hits, 1, "the hit is the proof, not the verdict");
-        // ...and a different proof configuration misses both cache layers.
+        assert_eq!(delta.smt_queries, 1);
+        assert_eq!(delta.verdict_hits, 0, "no stale hits across geometries");
+        // ...and so does a different proof configuration.
         let deeper = Verifier { smt_lanes: ver.smt_lanes + 1, ..ver.clone() };
         let before = deeper.memo_snapshot();
         assert!(deeper.equiv_halide_uber(&h, &u));

@@ -42,8 +42,9 @@ echo "   slow partition: ${slow_elapsed}s"
 echo "== release-only suites (golden, hot_path, end_to_end, lower_proptests)"
 # These tests are marked `cfg_attr(debug_assertions, ignore)`: too slow in
 # a debug build, so the partitions above skip them. They run here, in
-# release: golden programs byte-identical, memoized/parallel equivalence,
-# end-to-end kernels, and the lowering property tests.
+# release: golden programs byte-identical, memoized/unmemoized equivalence
+# and repeatable query counts, end-to-end kernels, and the lowering
+# property tests.
 cargo test -q --release --offline --locked -p rake-bench \
   --test golden --test hot_path --test end_to_end
 cargo test -q --release --offline --locked -p rake-synth lower_proptests

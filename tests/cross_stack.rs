@@ -234,7 +234,7 @@ fn prop_normal_form_equal_implies_equivalent() {
                 equal += 1;
                 assert!(testing.equiv_halide_uber(&s, &u), "normal form unsound: {s} vs {u}");
                 if solver_sized(&s, &u) {
-                    let verdict = smt::SharedSolver::new().prove_unsat(
+                    let verdict = smt::prove_unsat(
                         |ctx| {
                             let mut any_ne = ctx.ff();
                             for lane in 0..2 {

@@ -1,22 +1,23 @@
-//! Hot-path equivalence and regression properties: memoization and
-//! parallel lifting must be pure speedups. Verdicts, lifted programs and
-//! compiled output are identical with them on or off, and the memoized
-//! path never issues more SMT queries than the unmemoized one.
+//! Hot-path equivalence and regression properties: memoization must be a
+//! pure speedup. Verdicts, lifted programs and compiled output are
+//! identical with it on or off, the memoized path never issues more SMT
+//! queries than the unmemoized one, and query counts repeat exactly from
+//! run to run.
 
 use oracle::{gen_expr, GenConfig};
 use rake::{Rake, Target};
 use synth::{lift_expr, SynthStats, Verifier};
 
-fn verifier(memoize: bool, parallel_lifting: bool) -> Verifier {
+fn verifier(memoize: bool) -> Verifier {
     // fast() with a tighter proof budget: generated streams hit a few
     // adversarial queries that would otherwise burn the full 50k-conflict
     // budget twice per expression. Both sides share the budget, so the
     // equivalence property is unaffected.
-    Verifier { memoize, parallel_lifting, smt_conflict_budget: 5_000, ..Verifier::fast() }
+    Verifier { memoize, smt_conflict_budget: 5_000, ..Verifier::fast() }
 }
 
 fn rake(memoize: bool) -> Rake {
-    Rake::new(Target::hvx_small(8)).with_verifier(verifier(memoize, false))
+    Rake::new(Target::hvx_small(8)).with_verifier(verifier(memoize))
 }
 
 /// Property: over a seeded stream of generated expressions, the memoized
@@ -60,36 +61,61 @@ fn memoized_and_unmemoized_compilations_agree_on_generated_streams() {
     assert!(m.smt_queries <= p.smt_queries, "memoization increased SMT queries");
 }
 
-/// Property: parallel candidate screening selects exactly the candidate
-/// serial screening selects, over a seeded generated stream.
+/// Property: synthesis is deterministic. Lifting the same seeded stream
+/// on two fresh verifiers issues the same number of lifting queries, and
+/// compiling sobel on two fresh `Rake`s issues the same lifting, sketching,
+/// swizzling and SMT query counts.
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "lifts a generated stream twice; run with: cargo test --release"
+    ignore = "lifts a generated stream and compiles sobel twice; run with: cargo test --release"
 )]
-fn parallel_and_serial_lifting_agree_on_generated_streams() {
-    // Grant helpers explicitly: on a single-core machine the pool would
-    // otherwise hand out zero permits and the parallel path would never
-    // be exercised.
-    synth::pool::set_thread_budget(4);
-    let cfg = GenConfig::default();
-    let mut rng = lanes::rng::Rng::seed_from_u64(0xF00D_4);
-    let par = verifier(true, true);
-    let ser = verifier(true, false);
-    for i in 0..40 {
-        let e = gen_expr(&mut rng, &cfg);
-        let mut sa = SynthStats::default();
-        let mut sb = SynthStats::default();
-        let a = lift_expr(&e, &par, &mut sa);
-        let b = lift_expr(&e, &ser, &mut sb);
-        match (&a, &b) {
-            (Some((ua, _)), Some((ub, _))) => {
-                assert_eq!(ua, ub, "lifted programs differ on #{i}: {e}");
-            }
-            (None, None) => {}
-            _ => panic!("lift outcomes differ on #{i}: {e}\n{a:?}\nvs\n{b:?}"),
+fn query_counts_repeat_exactly_across_runs() {
+    let lift_stream = || {
+        let cfg = GenConfig::default();
+        let mut rng = lanes::rng::Rng::seed_from_u64(0xF00D_4);
+        let ver = verifier(true);
+        let mut stats = SynthStats::default();
+        for _ in 0..40 {
+            let _ = lift_expr(&gen_expr(&mut rng, &cfg), &ver, &mut stats);
         }
-    }
+        stats.lifting_queries
+    };
+    let first = lift_stream();
+    assert!(first > 0, "the stream issued no lifting queries");
+    assert_eq!(first, lift_stream(), "lifting query counts differ between runs");
+
+    let counts = |s: SynthStats| {
+        (s.lifting_queries, s.sketching_queries, s.swizzling_queries, s.smt_queries)
+    };
+    assert_eq!(
+        counts(sobel_stats(true)),
+        counts(sobel_stats(true)),
+        "sobel query counts (lifting, sketching, swizzling, SMT) differ between runs"
+    );
+}
+
+/// Compile the sobel workload at the quick geometry on a fresh `Rake` with
+/// the harness's verifier settings.
+fn sobel_stats(memoize: bool) -> SynthStats {
+    let w = workloads::by_name("sobel").expect("sobel registered");
+    let lanes = (16 * w.lanes / 128).max(4); // quick geometry
+    let verifier = Verifier {
+        lanes,
+        vec_bytes: 16,
+        alt_lanes: (lanes / 2).max(4),
+        random_envs: 6,
+        use_smt: true,
+        smt_lanes: 1,
+        smt_conflict_budget: 10_000,
+        smt_lowering: false,
+        memoize,
+        ..Verifier::default()
+    };
+    Rake::new(Target { lanes, vec_bytes: 16 })
+        .with_verifier(verifier)
+        .compile_pipeline(&w.exprs)
+        .stats
 }
 
 /// Regression: with memoization on, compiling the sobel workload issues no
@@ -101,30 +127,8 @@ fn parallel_and_serial_lifting_agree_on_generated_streams() {
     ignore = "full sobel synthesis; run with: cargo test --release"
 )]
 fn sobel_smt_queries_are_monotone_non_increasing_under_memoization() {
-    let w = workloads::by_name("sobel").expect("sobel registered");
-    let lanes = (16 * w.lanes / 128).max(4); // quick geometry
-    let bench_like = |memoize: bool| Verifier {
-        lanes,
-        vec_bytes: 16,
-        alt_lanes: (lanes / 2).max(4),
-        random_envs: 6,
-        use_smt: true,
-        smt_lanes: 1,
-        smt_conflict_budget: 10_000,
-        smt_lowering: false,
-        memoize,
-        parallel_lifting: false,
-        ..Verifier::default()
-    };
-    let target = Target { lanes, vec_bytes: 16 };
-    let compile = |memoize: bool| {
-        Rake::new(target)
-            .with_verifier(bench_like(memoize))
-            .compile_pipeline(&w.exprs)
-            .stats
-    };
-    let plain = compile(false);
-    let memo = compile(true);
+    let plain = sobel_stats(false);
+    let memo = sobel_stats(true);
     assert!(
         memo.smt_queries <= plain.smt_queries,
         "memoized sobel proved more: {} > {}",
